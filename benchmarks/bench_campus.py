@@ -107,14 +107,11 @@ def provision_protection_domain(campus, projects_per_dept, projects_per_user):
 
 
 def build_campus(clusters, workstations_per_cluster, projects_per_dept,
-                 projects_per_user, seed=0, scheduler=None, sharding=None,
-                 **_ignored):
+                 projects_per_user, seed=0, sharding=None, **_ignored):
     """Build and provision the campus; returns ``(campus, users)``.
 
-    ``scheduler`` overrides the event-queue implementation ("calendar" or
-    "heap"); ``None`` keeps the :class:`SystemConfig` default.  ``sharding``
-    (a :class:`repro.sim.shard.ShardConfig`) selects sharded parallel
-    execution for the simulated day.
+    ``sharding`` (a :class:`repro.sim.shard.ShardConfig`) selects sharded
+    parallel execution for the simulated day.
     """
     config_kwargs = dict(
         mode="revised",
@@ -124,8 +121,6 @@ def build_campus(clusters, workstations_per_cluster, projects_per_dept,
         cache_max_files=120,
         seed=seed,
     )
-    if scheduler is not None:
-        config_kwargs["scheduler"] = scheduler
     if sharding is not None:
         config_kwargs["sharding"] = sharding
     campus = ITCSystem(SystemConfig(**config_kwargs))

@@ -68,17 +68,16 @@ def resource_churn(processes: int = 50, claims: int = 200) -> float:
     return time.perf_counter() - start
 
 
-def queue_churn(scheduler: str = "calendar", pending: int = 2_000,
-                cycles: int = 50_000) -> float:
+def queue_churn(pending: int = 2_000, cycles: int = 50_000) -> float:
     """Wall seconds of insert/extract-heavy queue traffic.
 
     Holds ``pending`` timers alive (a metropolis-sized pending set, far
     beyond what ``event_churn``'s lockstep hops keep queued) while every
     fired timer immediately reschedules at a spread of delays — the
-    steady-state push/pop pattern the calendar queue's O(1) buckets are
-    built for.  Catches scheduler regressions without a campus build.
+    steady-state push/pop pattern of a large campus.  Catches event-heap
+    regressions without a campus build.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     fired = [0]
 
     def rearm(event):
@@ -96,17 +95,16 @@ def queue_churn(scheduler: str = "calendar", pending: int = 2_000,
     return time.perf_counter() - start
 
 
-def cancel_churn(scheduler: str = "calendar", rpcs: int = 30_000,
-                 pending: int = 500) -> float:
+def cancel_churn(rpcs: int = 30_000, pending: int = 500) -> float:
     """Wall seconds of cancel-heavy traffic: retransmit timers that lose.
 
     Every simulated RPC arms a guard timer and then completes first, so
     the timer is cancelled — the lazy-cancel pattern that used to leave
     corpses in the heap until their timestamp came due.  Exercises
-    ``note_cancel`` bookkeeping and threshold compaction under a standing
+    the lazy-cancel bookkeeping and threshold compaction under a standing
     population of ``pending`` long timers.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     done = [0]
 
     def complete(event):
@@ -256,10 +254,8 @@ def shard_channel_churn(batches: int = 400, batch_size: int = 8) -> float:
 _FULL = {
     "event_churn": lambda: event_churn(),
     "resource_churn": lambda: resource_churn(),
-    "queue_churn_calendar": lambda: queue_churn("calendar"),
-    "queue_churn_heap": lambda: queue_churn("heap"),
-    "cancel_churn_calendar": lambda: cancel_churn("calendar"),
-    "cancel_churn_heap": lambda: cancel_churn("heap"),
+    "queue_churn": lambda: queue_churn(),
+    "cancel_churn": lambda: cancel_churn(),
     "crypto_seal_unseal_64k": lambda: crypto_seal_unseal(),
     "session_roundtrip_64k": lambda: session_roundtrip(),
     "erasure_encode_256k": lambda: erasure_encode(),
@@ -275,10 +271,8 @@ _FULL = {
 _SMOKE = {
     "event_churn": (lambda: event_churn(processes=100, hops=100), 0.035),
     "resource_churn": (lambda: resource_churn(processes=50, claims=100), 0.045),
-    "queue_churn_calendar": (lambda: queue_churn("calendar", pending=500, cycles=10_000), 0.060),
-    "queue_churn_heap": (lambda: queue_churn("heap", pending=500, cycles=10_000), 0.060),
-    "cancel_churn_calendar": (lambda: cancel_churn("calendar", rpcs=5_000, pending=200), 0.060),
-    "cancel_churn_heap": (lambda: cancel_churn("heap", rpcs=5_000, pending=200), 0.060),
+    "queue_churn": (lambda: queue_churn(pending=500, cycles=10_000), 0.060),
+    "cancel_churn": (lambda: cancel_churn(rpcs=5_000, pending=200), 0.060),
     "crypto_seal_unseal_64k": (lambda: crypto_seal_unseal(repeats=10), 0.035),
     "session_roundtrip_64k": (lambda: session_roundtrip(messages=25), 0.075),
     "erasure_encode_64k": (lambda: erasure_encode(size=65_536, repeats=5), 0.008),
@@ -319,24 +313,12 @@ def test_kernel_resource_churn(benchmark):
     benchmark.pedantic(resource_churn, rounds=3, iterations=1, warmup_rounds=1)
 
 
-def test_kernel_queue_churn_calendar(benchmark):
-    benchmark.pedantic(lambda: queue_churn("calendar"),
-                       rounds=3, iterations=1, warmup_rounds=1)
+def test_kernel_queue_churn(benchmark):
+    benchmark.pedantic(queue_churn, rounds=3, iterations=1, warmup_rounds=1)
 
 
-def test_kernel_queue_churn_heap(benchmark):
-    benchmark.pedantic(lambda: queue_churn("heap"),
-                       rounds=3, iterations=1, warmup_rounds=1)
-
-
-def test_kernel_cancel_churn_calendar(benchmark):
-    benchmark.pedantic(lambda: cancel_churn("calendar"),
-                       rounds=3, iterations=1, warmup_rounds=1)
-
-
-def test_kernel_cancel_churn_heap(benchmark):
-    benchmark.pedantic(lambda: cancel_churn("heap"),
-                       rounds=3, iterations=1, warmup_rounds=1)
+def test_kernel_cancel_churn(benchmark):
+    benchmark.pedantic(cancel_churn, rounds=3, iterations=1, warmup_rounds=1)
 
 
 def test_crypto_seal_unseal(benchmark):

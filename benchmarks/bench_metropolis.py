@@ -4,7 +4,7 @@ The paper sizes Vice for "more than 5,000 workstations" on one campus
 (§1-§2); ``bench_campus`` stops at 200.  This bench sweeps the same
 Andrew-mix workload across three scales and reports kernel events per
 wall-clock second at each — the headline number for the event-kernel
-scale-out work (calendar queue + cascade batching).
+scale-out work (the inlined event heap + cascade batching).
 
 Virtual durations shrink as the campus grows so every scale finishes in
 comparable wall time: the point is queue behavior under a large *pending
@@ -14,12 +14,10 @@ Reported per scale:
 
 * ``events_per_second``  — the headline throughput number;
 * ``setup_wall_seconds`` / ``run_wall_seconds``;
-* ``queue``              — the scheduler's own stats (bucket occupancy,
-  resizes, dead-event counts) as exposed by ``sim.scheduler_stats``;
+* ``queue``              — the event queue's own stats (pending, pushes,
+  dead-event counts) as exposed by ``sim.scheduler_stats``;
 * ``virtual_*``          — simulated results, byte-identical across
-  schedulers and perf commits.
-
-Usage::
+  perf commits.
 
 With ``--workers`` the sweep also runs each scale under sharded parallel
 execution (``repro.sim.shard``): an unsharded reference first, then one
@@ -31,7 +29,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_metropolis.py             # all scales
     PYTHONPATH=src python benchmarks/bench_metropolis.py --smoke     # CI budget
-    PYTHONPATH=src python benchmarks/bench_metropolis.py --scheduler heap
     PYTHONPATH=src python benchmarks/bench_metropolis.py --workers 2,4
     PYTHONPATH=src python benchmarks/bench_metropolis.py --shard-smoke
     PYTHONPATH=src python benchmarks/bench_metropolis.py --json F
@@ -97,7 +94,7 @@ SHARD_SMOKE_BUDGET_SECONDS = 240.0
 _SHARED_SHAPE = dict(projects_per_dept=25, projects_per_user=3)
 
 
-def run_scale(scale: dict, scheduler: str = None, workers: int = None) -> dict:
+def run_scale(scale: dict, workers: int = None) -> dict:
     """Build one campus at ``scale`` and run it; returns the report dict.
 
     ``workers`` selects sharded parallel execution; the report then counts
@@ -112,7 +109,7 @@ def run_scale(scale: dict, scheduler: str = None, workers: int = None) -> dict:
         sharding = ShardConfig(workers=workers)
 
     setup_start = time.perf_counter()
-    campus, users = build_campus(scheduler=scheduler, sharding=sharding, **shape)
+    campus, users = build_campus(sharding=sharding, **shape)
     setup_wall = time.perf_counter() - setup_start
 
     run_start = time.perf_counter()
@@ -171,14 +168,14 @@ def assert_parity(reference: dict, sharded: dict) -> None:
             )
 
 
-def run_workers_sweep(scales, workers_list, scheduler: str = None) -> dict:
+def run_workers_sweep(scales, workers_list) -> dict:
     """Unsharded reference + one sharded run per worker count, per scale."""
     entries = []
     for scale in scales:
-        reference = run_scale(scale, scheduler=scheduler)
+        reference = run_scale(scale)
         sharded = []
         for workers in workers_list:
-            report = run_scale(scale, scheduler=scheduler, workers=workers)
+            report = run_scale(scale, workers=workers)
             assert_parity(reference, report)
             base = reference["events_per_second"]
             report["speedup"] = (
@@ -190,18 +187,14 @@ def run_workers_sweep(scales, workers_list, scheduler: str = None) -> dict:
     return {"workers": list(workers_list), "scales": entries}
 
 
-def run_metropolis_benchmark(scales=None, scheduler: str = None) -> dict:
-    """Run the sweep; returns ``{"scheduler": ..., "scales": [...]}``."""
-    reports = [run_scale(scale, scheduler=scheduler)
-               for scale in (SCALES if scales is None else scales)]
-    return {
-        "scheduler": reports[0]["queue"]["scheduler"] if reports else scheduler,
-        "scales": reports,
-    }
+def run_metropolis_benchmark(scales=None) -> dict:
+    """Run the sweep; returns ``{"scales": [...]}``."""
+    return {"scales": [run_scale(scale)
+                       for scale in (SCALES if scales is None else scales)]}
 
 
 def _print_report(report: dict) -> None:
-    print(f"metropolis sweep · scheduler={report['scheduler']}")
+    print("metropolis sweep")
     header = (f"  {'scale':<12} {'ws':>6} {'setup s':>8} {'run s':>8} "
               f"{'events':>9} {'events/s':>9} {'actions':>8}")
     print(header)
@@ -212,11 +205,9 @@ def _print_report(report: dict) -> None:
               f"{scale['virtual_actions']:>8d}")
     for scale in report["scales"]:
         queue = scale["queue"]
-        if queue.get("scheduler") == "calendar":
-            print(f"  {scale['name']:<12} queue: {queue['buckets']} buckets x "
-                  f"{queue['bucket_width']:.3g}s, {queue['resizes']} resizes, "
-                  f"{queue['compactions']} compactions, "
-                  f"{queue['cascade_events']:,} cascade events")
+        print(f"  {scale['name']:<12} queue: {queue['pending']:,} pending, "
+              f"{queue['compactions']} compactions, "
+              f"{queue['cascade_events']:,} cascade events")
 
 
 def _print_workers_report(report: dict) -> None:
@@ -275,8 +266,6 @@ def main() -> int:
                         help="200 + 1,000 workstations under a hard budget (CI)")
     parser.add_argument("--shard-smoke", action="store_true",
                         help="sharded-vs-unsharded parity + speedup gate (CI)")
-    parser.add_argument("--scheduler", choices=("calendar", "heap"), default=None,
-                        help="event-queue implementation (default: config default)")
     parser.add_argument("--workers", metavar="N[,N...]", default="",
                         help="also run each scale sharded over these worker counts")
     parser.add_argument("--json", metavar="FILE", default="",
@@ -287,9 +276,7 @@ def main() -> int:
         return run_shard_smoke()
 
     sweep_start = time.perf_counter()
-    report = run_metropolis_benchmark(
-        SMOKE_SCALES if args.smoke else None, scheduler=args.scheduler
-    )
+    report = run_metropolis_benchmark(SMOKE_SCALES if args.smoke else None)
     sweep_wall = time.perf_counter() - sweep_start
     report["sweep_wall_seconds"] = round(sweep_wall, 3)
     _print_report(report)
@@ -298,7 +285,6 @@ def main() -> int:
         workers_list = [int(part) for part in args.workers.split(",") if part]
         sharded = run_workers_sweep(
             SMOKE_SCALES if args.smoke else SCALES, workers_list,
-            scheduler=args.scheduler,
         )
         _print_workers_report(sharded)
         report["sharded"] = sharded

@@ -245,8 +245,7 @@ def summarize(report: dict) -> str:
             f" ({campus['events_per_second']:,} events/s)"
         )
     if report.get("metropolis"):
-        lines.append(f"metropolis sweep (scheduler "
-                     f"{report['metropolis']['scheduler']}):")
+        lines.append("metropolis sweep:")
         for scale in report["metropolis"]["scales"]:
             lines.append(
                 f"  {scale['name']:12s} {scale['workstations']:>5d} ws"

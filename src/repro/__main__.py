@@ -384,21 +384,16 @@ def cmd_profile(args) -> int:
     print(rows)
 
     # Event-queue health: the kernel is the wall-clock floor, so show how
-    # the scheduler coped — cascade share (events that never touched the
-    # time-ordered queue), occupancy, resizes and dead-event compactions.
+    # the heap coped — cascade share (events that never touched the
+    # time-ordered heap), occupancy and dead-event compactions.
     stats = campus.sim.scheduler_stats
-    queue_rows = Table(["stat", "value"], title=f"event queue ({stats['scheduler']})")
+    queue_rows = Table(["stat", "value"], title="event queue")
     queue_rows.add("events", stats["events"])
     queue_rows.add("queue pushes", stats["pushes"])
     queue_rows.add("cascade events", stats["cascade_events"])
     queue_rows.add("cascade share", format_share(
         stats["cascade_events"] / stats["events"] if stats["events"] else 0.0))
-    if stats["scheduler"] == "calendar":
-        queue_rows.add("buckets", stats["buckets"])
-        queue_rows.add("bucket width (s)", f"{stats['bucket_width']:.6g}")
-        queue_rows.add("occupied buckets", stats["occupied_buckets"])
-        queue_rows.add("overflow pending", stats["overflow"])
-        queue_rows.add("resizes", stats["resizes"])
+    queue_rows.add("pending", stats["pending"])
     queue_rows.add("dead (uncompacted)", stats["dead"])
     queue_rows.add("compactions", stats["compactions"])
     print(queue_rows)

@@ -191,6 +191,33 @@ _CAMPUS_COUNTERS = {
     "disk_ops": ".disk.operations",
 }
 
+_BUCKETS = tuple(_CAMPUS_COUNTERS) + (
+    "rpc_calls", "volume_traffic", "usage_by_user", "latency", "host_util",
+    "availability",
+)
+
+
+def _bucket_of(name: str) -> Optional[str]:
+    """The :class:`RollingAggregator` read bucket of an instrument name,
+    or None when the aggregator does not read it."""
+    if ".latency." in name:
+        return "latency"
+    if name.startswith("host.") and (name.endswith(".cpu")
+                                     or name.endswith(".disk")):
+        return "host_util"
+    if name.endswith(".volume_traffic"):
+        return "volume_traffic"
+    if name.endswith(".usage_by_user"):
+        return "usage_by_user"
+    if name.startswith("rpc.") and name.endswith(".calls_received"):
+        return "rpc_calls"
+    if name.startswith("availability.") or name.startswith("faults."):
+        return "availability"
+    for key, suffix in _CAMPUS_COUNTERS.items():
+        if name.endswith(suffix):
+            return key
+    return None
+
 
 class RollingAggregator:
     """Rolling windows of deltas, rates and top-K over a metrics registry.
@@ -227,6 +254,7 @@ class RollingAggregator:
         self._hist_cursor: Dict[str, int] = {}
         self._classified = -1
         self._buckets: Dict[str, List[str]] = {}
+        self._bucket_of: Dict[str, Optional[str]] = {}
         self.samples_taken = 0
         self.overhead_us = Samples("aggregator-overhead-us")
         self._sampler_installed = False
@@ -235,34 +263,18 @@ class RollingAggregator:
 
     def _classify(self) -> None:
         """Map instrument names to read buckets; refreshed when the
-        instrument set changes (components appear on crash/recover)."""
-        buckets: Dict[str, List[str]] = {key: [] for key in _CAMPUS_COUNTERS}
-        buckets.update(rpc_calls=[], volume_traffic=[], usage_by_user=[],
-                       latency=[], host_util=[], availability=[])
+        instrument set changes (components appear on crash/recover, latency
+        histograms appear lazily).  Each name's bucket is memoized, so a
+        refresh only classifies names it has not seen before."""
+        memo = self._bucket_of
+        buckets: Dict[str, List[str]] = {key: [] for key in _BUCKETS}
         for name in self.metrics.names():
-            if ".latency." in name:
-                buckets["latency"].append(name)
-                continue
-            if name.startswith("host.") and (name.endswith(".cpu")
-                                             or name.endswith(".disk")):
-                buckets["host_util"].append(name)
-                continue
-            if name.endswith(".volume_traffic"):
-                buckets["volume_traffic"].append(name)
-                continue
-            if name.endswith(".usage_by_user"):
-                buckets["usage_by_user"].append(name)
-                continue
-            if name.startswith("rpc.") and name.endswith(".calls_received"):
-                buckets["rpc_calls"].append(name)
-                continue
-            if name.startswith("availability.") or name.startswith("faults."):
-                buckets["availability"].append(name)
-                continue
-            for key, suffix in _CAMPUS_COUNTERS.items():
-                if name.endswith(suffix):
-                    buckets[key].append(name)
-                    break
+            try:
+                key = memo[name]
+            except KeyError:
+                key = memo[name] = _bucket_of(name)
+            if key is not None:
+                buckets[key].append(name)
         self._buckets = buckets
         self._classified = len(self.metrics)
 

@@ -53,10 +53,11 @@ class Connection:
         }
         self.established = True
 
-    def encrypt(self, sender_name: str, plaintext: bytes, fast: bool = False) -> bytes:
-        """Seal bytes for the wire (identity when encryption is off).
+    def encrypt(self, sender_name: str, plaintext: bytes) -> bytes:
+        """Seal a message body or whole-file payload for the wire (identity
+        when encryption is off).
 
-        With ``fast`` the result is a plaintext-remembering
+        The result is a plaintext-remembering
         :class:`~repro.crypto.cipher.SealedPayload` (wire-identical bytes),
         so an in-process receiver's :meth:`decrypt` verifies the tag without
         re-deriving the keystream.
@@ -65,41 +66,12 @@ class Connection:
             return plaintext
         if not self.established:
             raise NotAuthenticated(f"connection {self.connection_id} not established")
-        cipher = self._ciphers[sender_name]
-        if fast:
-            return cipher.seal_payload(plaintext)
-        return cipher.encrypt(plaintext)
+        return self._ciphers[sender_name].seal_payload(plaintext)
 
     def decrypt(self, sealed: bytes) -> bytes:
         """Open bytes from the wire (identity when encryption is off).
 
         Fast-path aware: always verifies the authentication tag."""
-        if self.encryption == EncryptionMode.NONE:
-            return sealed
-        if not self.established:
-            raise NotAuthenticated(f"connection {self.connection_id} not established")
-        return open_sealed(self.session_key, sealed)
-
-    def encrypt_payload(self, sender_name: str, payload: bytes, fast: bool = False) -> bytes:
-        """Seal a whole-file payload for the wire.
-
-        With ``fast`` the sealed buffer is a
-        :class:`~repro.crypto.cipher.SealedPayload` that remembers its
-        plaintext, so the receiving end of an in-process transfer verifies
-        the tag without re-deriving the keystream.  The wire bytes are
-        identical either way.
-        """
-        if self.encryption == EncryptionMode.NONE:
-            return payload
-        if not self.established:
-            raise NotAuthenticated(f"connection {self.connection_id} not established")
-        cipher = self._ciphers[sender_name]
-        if fast:
-            return cipher.seal_payload(payload)
-        return cipher.encrypt(payload)
-
-    def decrypt_payload(self, sealed: bytes) -> bytes:
-        """Open a whole-file payload (fast-path aware, always verifies)."""
         if self.encryption == EncryptionMode.NONE:
             return sealed
         if not self.established:

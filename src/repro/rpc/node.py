@@ -81,7 +81,6 @@ class RpcNode:
         auth_key_lookup: Optional[Callable[[str], bytes]] = None,
         max_server_processes: Optional[int] = None,
         functional_payload_crypto: bool = True,
-        payload_fast_path: bool = True,
         rng: Optional[WorkloadRandom] = None,
     ):
         if transport not in ("datagram", "stream"):
@@ -97,7 +96,6 @@ class RpcNode:
         self.auth_key_lookup = auth_key_lookup
         self.max_server_processes = max_server_processes
         self.functional_payload_crypto = functional_payload_crypto
-        self.payload_fast_path = payload_fast_path
         self.rng = rng or WorkloadRandom(zlib.crc32(host.name.encode()))
 
         self.services: Dict[str, Handler] = {}
@@ -244,10 +242,9 @@ class RpcNode:
         with (tracer.span(f"rpc.call:{procedure}", component="rpc",
                           host=my_name, peer=peer)
               if traced else _NULL_SPAN):
-            fast = self.payload_fast_path
             record = {"proc": procedure, "args": args if args is not None else {}}
             body = marshal.dumps(record)
-            wire_body = conn.encrypt(my_name, body, fast=fast)
+            wire_body = conn.encrypt(my_name, body)
             wire_payload = self._protect_payload(conn, my_name, payload)
             crypto_cpu = self.costs.encrypt_seconds(
                 conn.encryption, len(body) + len(payload)
@@ -257,8 +254,8 @@ class RpcNode:
             envelope = Envelope(
                 Kind.CALL, conn.connection_id, seq, wire_body, wire_payload,
                 # In-process shortcut past the unmarshal (wire bytes and
-                # costs unchanged); disabled with payload_fast_path.
-                decoded=record if fast else None,
+                # costs unchanged).
+                decoded=record,
             )
             if traced:
                 envelope.trace = tracer.context()
@@ -308,14 +305,14 @@ class RpcNode:
         if not payload:
             return b""
         if self.functional_payload_crypto and conn.encryption != EncryptionMode.NONE:
-            return conn.encrypt_payload(sender, payload, fast=self.payload_fast_path)
+            return conn.encrypt(sender, payload)
         return payload
 
     def _unprotect_payload(self, conn: Connection, payload: bytes) -> bytes:
         if not payload:
             return b""
         if self.functional_payload_crypto and conn.encryption != EncryptionMode.NONE:
-            return conn.decrypt_payload(payload)
+            return conn.decrypt(payload)
         return payload
 
     # ------------------------------------------------------------------
@@ -576,15 +573,14 @@ class RpcNode:
                     record = encode_error(exc)
                     reply_payload = b""
 
-            fast = self.payload_fast_path
             body = marshal.dumps(record)
-            wire_body = conn.encrypt(self.host.name, body, fast=fast)
+            wire_body = conn.encrypt(self.host.name, body)
             wire_payload = self._protect_payload(conn, self.host.name, reply_payload)
             crypto_cpu = self.costs.encrypt_seconds(conn.encryption, len(body) + len(reply_payload))
             yield from self.host.compute(crypto_cpu)
 
             reply = Envelope(Kind.REPLY, envelope.connection_id, envelope.seq, wire_body, wire_payload,
-                             decoded=record if fast else None)
+                             decoded=record)
         cache = self._reply_cache[envelope.connection_id]
         cache[envelope.seq] = reply
         # At-most-once needs the cached reply only while a duplicate of this

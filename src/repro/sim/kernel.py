@@ -33,13 +33,12 @@ Two structures hold pending events:
   immediately claims a resource that immediately grants...) append and pop
   in FIFO order at deque speed, never touching the time-ordered queue.
   Creation order *is* sequence order, so the FIFO tie-break is preserved.
-* the **scheduler** (:mod:`repro.sim.schedulers`) — events strictly in the
-  future, ordered by ``(time, sequence)``.  Pluggable via
-  ``Simulator(scheduler=...)``: ``calendar`` (the default, a self-resizing
-  bucketed time wheel) or ``heap`` (the original binary heap, kept as the
-  reference oracle).  When the clock advances to a timestamp, the whole
-  cohort at that timestamp is drained into the cascade deque in one batch
-  and dispatched without re-touching the queue.
+* the **event heap** (``_heap``) — a binary heap (``heapq``) of
+  ``(time, sequence, event)`` entries strictly in the future.  The run
+  loops pop it themselves: when the clock advances to a timestamp, the
+  whole cohort at that timestamp is drained into the cascade deque in one
+  batch and dispatched without re-touching the heap.  Cancelled entries
+  stay in place (lazy cancel) and are compacted away once enough pile up.
 """
 
 from __future__ import annotations
@@ -47,10 +46,10 @@ from __future__ import annotations
 import logging
 from collections import deque
 from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.errors import Interrupt, SimulationError
-from repro.sim.schedulers import make_scheduler
 
 __all__ = [
     "Event",
@@ -61,6 +60,11 @@ __all__ = [
 ]
 
 _log = logging.getLogger("repro.sim")
+
+# Compact the heap once at least this many cancelled entries linger *and*
+# they are at least half of it: small heaps tolerate a few corpses, churny
+# ones (a retransmit timer per RPC, almost always cancelled) stay bounded.
+_COMPACT_MIN_DEAD = 64
 
 
 class Event:
@@ -145,12 +149,15 @@ class Event:
         losing branch of an ``any_of`` race).  The queue entry stays where
         it is — sequence numbers, and therefore same-instant ordering of
         every other event, are untouched — but its callbacks never run.
-        The scheduler counts the corpse and compacts itself once enough
+        The kernel counts the corpse and compacts the heap once enough
         accumulate, so cancel-heavy workloads (retransmit timers that
         almost always lose their race) keep the queue bounded.
         """
         self._cancelled = True
-        self.sim._queue.note_cancel()
+        sim = self.sim
+        sim._dead += 1
+        if sim._dead >= _COMPACT_MIN_DEAD and sim._dead * 2 >= len(sim._heap):
+            sim._compact()
         return self
 
     # -- internal ---------------------------------------------------------
@@ -199,7 +206,8 @@ class Timeout(Event):
         now = sim.now
         when = now + delay
         if when > now:
-            sim._qpush(when, sim._sequence, self)
+            sim._pushes += 1
+            heappush(sim._heap, (when, sim._sequence, self))
         else:
             # Zero (or underflowing) delay: due this very instant, so it
             # joins the cascade deque in creation order.
@@ -365,18 +373,22 @@ class Condition(Event):
 class Simulator:
     """The event queue, virtual clock and process factory."""
 
-    def __init__(self, scheduler: str = "calendar"):
+    def __init__(self):
         self.now: float = 0.0
         self._sequence = 0
-        # Future events, ordered by (time, sequence); pluggable structure.
-        self._queue = make_scheduler(scheduler)
-        self._qpush = self._queue.push
+        # Future events: a binary heap of (time, sequence, event).  The run
+        # loops hold a local reference to this list, so it is only ever
+        # rewritten in place.
+        self._heap: List[tuple] = []
+        self._pushes = 0
+        self._dead = 0
+        self._compactions = 0
         # Shadow the `timeout` method with a bound constructor: timeouts
         # are the most-created event kind and the factory-call frame is
         # measurable at campus scale.  Signature is unchanged.
         self.timeout = partial(Timeout, self)
         # Events due at exactly `now`: same-timestamp cascades dispatch
-        # FIFO from this deque without touching the time-ordered queue.
+        # FIFO from this deque without touching the heap.
         self._nq: deque = deque()
         self._orphan_failures: List[Event] = []
         self.active_process: Optional[Process] = None
@@ -391,23 +403,27 @@ class Simulator:
         self.metrics.counter("sim.kernel.events", lambda: self._sequence)
         self.metrics.counter(
             "sim.kernel.cascade_events",
-            lambda: self._sequence - self._queue.pushes,
+            lambda: self._sequence - self._pushes,
         )
         self.metrics.gauge("sim.kernel.pending", lambda: self.pending)
-        self.metrics.gauge("sim.kernel.queue", self._queue.stats)
+        self.metrics.gauge("sim.kernel.queue", lambda: self.scheduler_stats)
 
     @property
     def pending(self) -> int:
         """Events waiting to fire (scheduled plus same-instant cascade)."""
-        return len(self._queue) + len(self._nq)
+        return len(self._heap) + len(self._nq)
 
     @property
     def scheduler_stats(self) -> dict:
-        """The live scheduler's occupancy/resize/dead-event statistics."""
-        stats = dict(self._queue.stats())
-        stats["cascade_events"] = self._sequence - self._queue.pushes
-        stats["events"] = self._sequence
-        return stats
+        """The event queue's occupancy, push and dead-entry statistics."""
+        return {
+            "pending": len(self._heap),
+            "pushes": self._pushes,
+            "dead": self._dead,
+            "compactions": self._compactions,
+            "cascade_events": self._sequence - self._pushes,
+            "events": self._sequence,
+        }
 
     # -- factories ----------------------------------------------------------
 
@@ -433,13 +449,22 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float) -> None:
+    def _schedule(self, event: Event, when: float) -> None:
+        """Queue an already-triggered ``event`` to fire at absolute ``when``."""
         self._sequence += 1
-        when = self.now + delay
         if when > self.now:
-            self._qpush(when, self._sequence, event)
+            self._pushes += 1
+            heappush(self._heap, (when, self._sequence, event))
         else:
             self._nq.append(event)
+
+    def _compact(self) -> None:
+        """Drop lazily-cancelled entries and re-heapify, in place."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2]._cancelled]
+        heapify(heap)
+        self._dead = 0
+        self._compactions += 1
 
     def _raise_orphans(self) -> None:
         """Raise the first orphaned failure; never silently drop the rest."""
@@ -457,17 +482,23 @@ class Simulator:
                 exc.add_note(f"additional orphaned failure at t={self.now}: {extra._exc!r}")
         raise exc
 
+    # The three drivers below share one inlined dispatch: pop the heap's
+    # earliest entry, advance the clock to it, drain the rest of its
+    # same-timestamp cohort into the cascade deque, then run it.
+
     def step(self) -> None:
         """Process the single next event; raises orphaned process failures."""
         nq = self._nq
         if nq:
             event = nq.popleft()
         else:
-            entry = self._queue.pop_due(None, nq)
-            if entry is None:
+            heap = self._heap
+            if not heap:
                 raise IndexError("step() on an empty event queue")
-            self.now = entry[0]
-            event = entry[2]
+            when, _, event = heappop(heap)
+            self.now = when
+            while heap and heap[0][0] == when:
+                nq.append(heappop(heap)[2])
         if not event._cancelled:
             event._process()
         if self._orphan_failures:
@@ -477,8 +508,10 @@ class Simulator:
         """Run until the queue empties or the clock passes ``until``."""
         nq = self._nq
         popleft = nq.popleft
-        pop_due = self._queue.pop_due
+        append = nq.append
+        heap = self._heap
         orphans = self._orphan_failures
+        horizon = float("inf") if until is None else until
         while True:
             while nq:
                 event = popleft()
@@ -487,10 +520,17 @@ class Simulator:
                 event._process()
                 if orphans:
                     self._raise_orphans()
-            entry = pop_due(until, nq)
-            if entry is None:
+            if not heap:
                 break
-            self.now = entry[0]
+            entry = heap[0]
+            when = entry[0]
+            if when > horizon:
+                # Past the horizon: it stays queued, sequence intact.
+                break
+            heappop(heap)
+            self.now = when
+            while heap and heap[0][0] == when:
+                append(heappop(heap)[2])
             event = entry[2]
             if event._cancelled:
                 continue
@@ -498,9 +538,8 @@ class Simulator:
             if orphans:
                 self._raise_orphans()
         if until is not None and self.now < until:
-            # Queue empty or next event past the horizon (it stays
-            # scheduled, sequence intact): park the clock exactly at the
-            # horizon either way.
+            # Queue empty or next event past the horizon: park the clock
+            # exactly at the horizon either way.
             self.now = until
 
     def run_until_complete(self, event: Event, limit: float = float("inf")) -> Any:
@@ -513,23 +552,28 @@ class Simulator:
         event.defuse()
         nq = self._nq
         popleft = nq.popleft
-        pop_due = self._queue.pop_due
+        append = nq.append
+        heap = self._heap
         orphans = self._orphan_failures
         while event.callbacks is not None:
             if nq:
                 popped = popleft()
             else:
-                entry = pop_due(limit, nq)
-                if entry is None:
-                    if len(self._queue):
-                        # The next event is past the limit; it stays queued.
-                        raise SimulationError(
-                            f"simulation exceeded time limit {limit}"
-                        )
+                if not heap:
                     raise SimulationError(
                         f"event heap drained at t={self.now} before event fired"
                     )
-                self.now = entry[0]
+                entry = heap[0]
+                when = entry[0]
+                if when > limit:
+                    # The next event is past the limit; it stays queued.
+                    raise SimulationError(
+                        f"simulation exceeded time limit {limit}"
+                    )
+                heappop(heap)
+                self.now = when
+                while heap and heap[0][0] == when:
+                    append(heappop(heap)[2])
                 popped = entry[2]
             if popped._cancelled:
                 continue

@@ -235,11 +235,7 @@ def _at_time(sim, when: float):
 
     event = Event(sim)
     event._triggered = True
-    sim._sequence += 1
-    if when > sim.now:
-        sim._qpush(when, sim._sequence, event)
-    else:
-        sim._nq.append(event)
+    sim._schedule(event, when)
     return event
 
 
@@ -397,8 +393,8 @@ class _ShardWorker:
     def _next_time(self) -> float:
         if self.sim._nq:
             return self.sim.now
-        when = self.sim._queue.peek_time()
-        return _INF if when is None else when
+        heap = self.sim._heap
+        return heap[0][0] if heap else _INF
 
     def _read_lbts(self, r: int) -> float:
         """min over workers of min(next event, in-flight packet resumes)."""

@@ -2,7 +2,7 @@
 
 §5.2's numbers come from a system that stayed up for months of real use;
 one campus day under a clean plan cannot expose slow-burn rot (leaked
-kernel callbacks, unbounded reply caches, scheduler corpses, caches that
+kernel callbacks, unbounded reply caches, event-heap corpses, caches that
 quietly stop hitting).  ``python -m repro soak`` runs a diurnally-paced
 campus for hours-to-days of virtual time with chaos-mode fault injection
 on, samples a :class:`~repro.obs.live.RollingAggregator` window every few
@@ -10,7 +10,7 @@ virtual minutes, streams windows and ops events to JSONL, and asserts a
 set of **soak invariants** against every window:
 
 * ``kernel.pending`` stays bounded (no leaked timers/processes);
-* the scheduler's lazily-cancelled corpse count stays under its
+* the event heap's lazily-cancelled corpse count stays under its
   compaction threshold (compaction is actually running);
 * every RPC reply cache stays within its at-most-once window (no
   unbounded duplicate-suppression state);
@@ -111,11 +111,11 @@ class InvariantChecker:
 
         stats = sim.scheduler_stats
         dead = stats.get("dead", 0)
-        # note_cancel compacts at >= 64 dead once corpses reach half the
-        # queue, so a healthy scheduler can never hold more than this.
+        # Event.cancel compacts at >= 64 dead once corpses reach half the
+        # heap, so a healthy kernel can never hold more than this.
         dead_bound = max(64, pending // 2 + 2)
         if dead > dead_bound:
-            found.append(f"scheduler dead entries {dead} exceed bound "
+            found.append(f"event heap dead entries {dead} exceed bound "
                          f"{dead_bound} (compaction not running)")
 
         cache_bound = _REPLY_CACHE_WINDOW + config.reply_cache_slack

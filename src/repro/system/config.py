@@ -31,10 +31,6 @@ class SystemConfig:
 
     # Which implementation (see repro.vice.server.ViceServer's table).
     mode: str = "revised"
-    # Event-kernel scheduler: "calendar" (bucketed time wheel, the default)
-    # or "heap" (the original binary heap, kept as the reference oracle).
-    # Both produce byte-identical virtual outputs; see docs/performance.md.
-    scheduler: str = "calendar"
     # Cache-validation policy; None derives the mode's default
     # (prototype -> check-on-open, revised -> callback).
     validation: Optional[str] = None
@@ -53,12 +49,10 @@ class SystemConfig:
     encryption: str = EncryptionMode.HARDWARE
     # Actually run the cipher over file payloads (demonstrably secure but
     # Python-expensive); long synthetic runs turn this off and keep only
-    # the virtual-time charge.
+    # the virtual-time charge.  In-process receivers always verify the MAC
+    # over the wire bytes, then take the sender's plaintext instead of
+    # re-deriving the keystream (see repro.crypto.cipher.SealedPayload).
     functional_payload_crypto: bool = True
-    # Let in-process transfers hand the plaintext across after verifying the
-    # tag (wire bytes are unchanged); turn off to force a full keystream
-    # unseal at every hop, as a real network receiver would do.
-    payload_fast_path: bool = True
 
     # Venus cache.
     cache_max_files: int = 500

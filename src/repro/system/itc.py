@@ -53,7 +53,7 @@ class ITCSystem:
 
     def __init__(self, config: Optional[SystemConfig] = None):
         self.config = config or SystemConfig()
-        self.sim = Simulator(scheduler=self.config.scheduler)
+        self.sim = Simulator()
         self.rng = WorkloadRandom(self.config.seed)
         self.service_key = derive_user_key("vice", "itc-internal-service-key")
         self.network = build_network(self.sim, self.config)

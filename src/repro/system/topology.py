@@ -87,7 +87,6 @@ def build_servers(
             service_key=service_key,
             max_server_processes=config.max_server_processes,
             functional_payload_crypto=config.functional_payload_crypto,
-            payload_fast_path=config.payload_fast_path,
         )
         servers.append(server)
     names = [s.host.name for s in servers]
@@ -118,7 +117,6 @@ def build_workstations(
                 rpc_costs=rpc_costs_for(config),
                 encryption=config.encryption,
                 functional_payload_crypto=config.functional_payload_crypto,
-                payload_fast_path=config.payload_fast_path,
                 write_policy=config.write_policy,
                 flush_delay=config.flush_delay,
                 flush_retry_limit=config.flush_retry_limit,

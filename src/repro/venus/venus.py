@@ -96,7 +96,6 @@ class Venus:
         rpc_costs: Optional[RpcCosts] = None,
         encryption: str = EncryptionMode.HARDWARE,
         functional_payload_crypto: bool = True,
-        payload_fast_path: bool = True,
         write_policy: str = "on-close",
         flush_delay: float = 30.0,
         flush_retry_limit: int = 2,
@@ -151,7 +150,6 @@ class Venus:
             transport="stream" if mode == "prototype" else "datagram",
             encryption=encryption,
             functional_payload_crypto=functional_payload_crypto,
-            payload_fast_path=payload_fast_path,
         )
         self.node.register("BreakCallback", self._break_callback_handler)
 

@@ -67,7 +67,6 @@ class ViceServer:
         service_key: bytes = b"\x00" * 32,
         max_server_processes: Optional[int] = None,
         functional_payload_crypto: bool = True,
-        payload_fast_path: bool = True,
     ):
         if mode not in ("prototype", "revised"):
             raise InvalidArgument(f"unknown server mode {mode!r}")
@@ -105,7 +104,6 @@ class ViceServer:
             auth_key_lookup=self._lookup_key,
             max_server_processes=max_server_processes,
             functional_payload_crypto=functional_payload_crypto,
-            payload_fast_path=payload_fast_path,
         )
         self.call_mix = Counter(f"vice-mix:{host.name}")
         # §3.6 monitoring hooks: where each volume's data traffic comes

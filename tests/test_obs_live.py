@@ -317,6 +317,33 @@ def test_classification_refreshes_on_new_instruments():
     assert window["counters"]["opens"] >= 5
 
 
+def test_memoized_classification_matches_full_reclassification():
+    campus = small_campus()
+    metrics = campus.metrics
+    aggregator = RollingAggregator(metrics)
+
+    def full():
+        fresh = RollingAggregator(metrics)
+        fresh._classify()
+        return fresh._buckets
+
+    aggregator.sample(0.0)
+    assert aggregator._buckets == full()
+    # Instruments appear (a lazily created latency histogram, a new host)...
+    metrics.histogram("rpc.ws-late.latency.Fetch").add(0.01)
+    metrics.gauge("host.ws-late.cpu", 0.5)
+    metrics.counter("venus.ws-late.opens", 3)
+    aggregator.sample(1.0)
+    assert "rpc.ws-late.latency.Fetch" in aggregator._buckets["latency"]
+    assert "host.ws-late.cpu" in aggregator._buckets["host_util"]
+    assert aggregator._buckets == full()
+    # ...and disappear again (the host crashed).
+    assert metrics.unregister("host.ws-late.") == 1
+    aggregator.sample(2.0)
+    assert "host.ws-late.cpu" not in aggregator._buckets["host_util"]
+    assert aggregator._buckets == full()
+
+
 # ======================================================================
 # OpsEventStream: structured events, JSONL, derived storms
 # ======================================================================
